@@ -119,6 +119,28 @@ func TestMeasureAdaptive(t *testing.T) {
 	}
 }
 
+// TestMeasureAdaptiveOneShard pins that a one-shard cluster keeps its
+// epochs: Shards 1 replays inline, so only Shards ≥ 2 is rejected
+// (TestOptionsValidation).
+func TestMeasureAdaptiveOneShard(t *testing.T) {
+	w := driftAPIWorkload(t)
+	opts := Options{
+		Store: DynamoLike, Seed: 13, SLO: 0.01, Shards: 1,
+		Policy: "adaptive-freq", EpochOps: 4096, MigrationCostPerByte: 0.5,
+	}
+	rep, err := Profile(w, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ac, err := MeasureAdaptive(context.Background(), w, rep, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ac.Adaptive.Epochs != 3 || ac.Adaptive.MovesApplied == 0 {
+		t.Fatalf("one-shard adaptive leg dropped its epochs: %+v", ac.Adaptive)
+	}
+}
+
 // TestMeasureAdaptiveErrors covers the seam's preconditions.
 func TestMeasureAdaptiveErrors(t *testing.T) {
 	w := driftAPIWorkload(t)

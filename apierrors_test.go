@@ -65,6 +65,7 @@ func TestOptionsValidation(t *testing.T) {
 		{"epochs on static-only policy", Options{EpochOps: 4096, Policy: "mnemot"}, "static-only"},
 		{"epochs on default policy", Options{EpochOps: 4096}, "static-only"},
 		{"epochs on unknown policy", Options{EpochOps: 4096, Policy: "no_such"}, "unknown policy"},
+		{"epochs on a multi-shard cluster", Options{EpochOps: 4096, Policy: "adaptive-freq", Shards: 2}, "not supported with Shards 2"},
 		{"unknown policy param", Options{Policy: "freqdecay", PolicyParams: map[string]float64{"rate": 3}}, `unknown param "rate"`},
 		{"param below min", Options{Policy: "freqdecay", PolicyParams: map[string]float64{"decay": 0}}, "outside [0.01,1]"},
 		{"param above max", Options{Policy: "knapsack", PolicyParams: map[string]float64{"rungs": 9}}, "outside [1,6]"},

@@ -137,7 +137,7 @@ func replayEpochs(ctx context.Context, d *server.Deployment, src server.EpochSou
 			// is gone for good (w.Ops is non-nil here — packed-only
 			// traces were rejected above unless batching holds).
 			if t := d.BatchTable(); t != nil {
-				err = replayBatchedChunk(ctx, d, t, keys[lo:hi], kinds[lo:hi], classes, a, budget, start, lo, total)
+				err = replayBatchedChunk(ctx, d, t, server.LLCMemo{}, keys[lo:hi], kinds[lo:hi], classes, a, budget, start, lo, total)
 			} else if w.Ops != nil {
 				batched = false
 				err = replayBoundedChunk(ctx, d, ops[lo:hi], classes, a, budget, start, lo, total)

@@ -373,7 +373,12 @@ func BenchmarkReplay(b *testing.B) {
 // same trace, identical simulated results (TestBatchedReplayBitIdentical)
 // — only the per-request machinery differs. Indexed drives every request
 // through DoIndex (engine interface call, trace pricing, pause polling);
-// Batched streams the packed trace through the precomputed cost table.
+// Batched streams the packed trace through the precomputed cost table
+// against the live LLC model. Memo is a repeated measurement as
+// ExecuteMean runs it — ResetRun, then RunCtx with its RunStats
+// assembly — whose hit/miss stream comes from the trace's LLC outcome
+// memo (built before the timer starts); TestLLCMemoMatchesLiveAndPerOp
+// pins it bit-identical to the other two.
 func BenchmarkReplayBatched(b *testing.B) {
 	w := benchWorkload(b)
 	recs := w.Dataset.Records
@@ -413,6 +418,21 @@ func BenchmarkReplayBatched(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			a := newReplayAccum()
 			if err := replayBatched(ctx, d, tab, pt.Keys, pt.Kinds, classes, a, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perOp(b)
+	})
+	b.Run("Memo", func(b *testing.B) {
+		d := benchDeployment(b, w, p)
+		d.BatchTable().Memo(w) // build the memo outside the timed loop
+		ctx := context.Background()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if !d.ResetRun(42) {
+				b.Fatal("ResetRun refused")
+			}
+			if _, err := RunCtx(ctx, d, w, 0); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -321,14 +321,16 @@ func replayBoundedChunk(ctx context.Context, d *server.Deployment, ops []ycsb.Op
 // same clock reading — and, being built from the same pricing constants
 // and the same noise draws, the same latencies — as the per-op path.
 func replayBatched(ctx context.Context, d *server.Deployment, t *server.ReplayTable, keys []uint32, kinds []uint8, classes []uint8, a *replayAccum, budget simclock.Duration) error {
-	return replayBatchedChunk(ctx, d, t, keys, kinds, classes, a, budget, d.Clock(), 0, len(keys))
+	return replayBatchedChunk(ctx, d, t, server.LLCMemo{}, keys, kinds, classes, a, budget, d.Clock(), 0, len(keys))
 }
 
 // replayBatchedChunk is the batched replay of one trace chunk inside a
 // larger run, with the budget anchored at the run's start clock and
 // progress reported in run-global request indices — the batched twin of
-// replayBoundedChunk.
-func replayBatchedChunk(ctx context.Context, d *server.Deployment, t *server.ReplayTable, keys []uint32, kinds []uint8, classes []uint8, a *replayAccum, budget simclock.Duration, start simclock.Duration, done, total int) error {
+// replayBoundedChunk. A non-zero memo (a whole run served from its LLC
+// outcome memo; keys/kinds then start at the trace's request 0) routes
+// every block through ReplayTable.ServeMemo.
+func replayBatchedChunk(ctx context.Context, d *server.Deployment, t *server.ReplayTable, memo server.LLCMemo, keys []uint32, kinds []uint8, classes []uint8, a *replayAccum, budget simclock.Duration, start simclock.Duration, done, total int) error {
 	var maxClock simclock.Duration
 	if budget > 0 {
 		maxClock = start + budget
@@ -343,7 +345,7 @@ func replayBatchedChunk(ctx context.Context, d *server.Deployment, t *server.Rep
 			end = len(keys)
 		}
 		bkeys, bkinds := keys[blk:end], kinds[blk:end]
-		served := t.Serve(bkeys, bkinds, maxClock, lat)
+		served := t.ServeMemo(memo, blk, bkeys, bkinds, maxClock, lat)
 		for i := 0; i < served; i++ {
 			a.observe(kvstore.OpKind(bkinds[i]), int(classes[bkeys[i]]), float64(lat[i].Nanoseconds()))
 		}
@@ -438,9 +440,7 @@ func RunCtx(ctx context.Context, d *server.Deployment, w *ycsb.Workload, budget 
 	out.P95Ns = hist.Quantile(0.95)
 	out.P99Ns = hist.Quantile(0.99)
 	out.MaxNs = hist.Max()
-	if llc := d.Machine().LLC(); llc != nil {
-		out.LLCHitRate = llc.HitRate()
-	}
+	out.LLCHitRate = d.LLCHitRate()
 	out.Epochs = tel.epochs
 	out.MovesApplied = tel.moves
 	out.MigratedBytes = tel.bytes
@@ -449,9 +449,18 @@ func RunCtx(ctx context.Context, d *server.Deployment, w *ycsb.Workload, budget 
 	return out, nil
 }
 
+// memoFor resolves a batched run's LLC outcome memo. The memo and the
+// live LLC model are bit-identical by contract; the differential tests
+// swap this for a resolver that never memoizes, to drive the live
+// kernel through the whole execution stack as their reference.
+var memoFor = (*server.ReplayTable).Memo
+
 // replayStatic is the legacy single-placement replay — the whole trace
 // in one pass, batched when the deployment and trace support it. It is
 // the EpochOps=0 path and stays bit-identical to the pre-adaptive stack.
+// A batched run on a cold LLC reads its hit/miss stream from the
+// trace's LLC outcome memo (server.ReplayTable.Memo) instead of
+// re-running the cache model.
 func replayStatic(ctx context.Context, d *server.Deployment, w *ycsb.Workload, classes []uint8, a *replayAccum, budget simclock.Duration) error {
 	if w.Stream != nil {
 		return replayStream(ctx, d, w, classes, a, budget)
@@ -466,7 +475,7 @@ func replayStatic(ctx context.Context, d *server.Deployment, w *ycsb.Workload, c
 		} else {
 			crashAt = -1 // crash point beyond the trace: never fires
 		}
-		err = replayBatched(ctx, d, t, keys, kinds, classes, a, budget)
+		err = replayBatchedChunk(ctx, d, t, memoFor(t, w), keys, kinds, classes, a, budget, d.Clock(), 0, len(keys))
 	} else if w.Ops == nil && w.RequestCount() > 0 {
 		// A packed-only trace (a shard partitioner sub-workload) cannot
 		// drive the per-operation path; failing beats silently replaying

@@ -101,6 +101,12 @@ func AdaptiveCompare(scale Scale, seed int64) (*AdaptiveCompareResult, error) {
 	if err := scale.Validate(); err != nil {
 		return nil, err
 	}
+	if scale.Shards >= 2 {
+		// The adaptive rows would silently replay statically: a
+		// multi-shard cluster drops epochs (Validate's rule, applied
+		// here to the experiment's default epoch length too).
+		return nil, fmt.Errorf("experiments: adaptive-compare not supported with shards %d: a multi-shard cluster replays every shard statically and would drop the epochs", scale.Shards)
+	}
 	epochOps := scale.EpochOps
 	if epochOps == 0 {
 		epochOps = DefaultAdaptiveEpochOps

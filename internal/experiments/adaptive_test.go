@@ -63,6 +63,17 @@ func TestAdaptiveCompareDeterministic(t *testing.T) {
 	}
 }
 
+// TestAdaptiveCompareRejectsShards pins that adaptive-compare refuses a
+// multi-shard scale even at its default epoch length, instead of
+// measuring the adaptive rows statically.
+func TestAdaptiveCompareRejectsShards(t *testing.T) {
+	s := Quick
+	s.Shards = 2
+	if _, err := AdaptiveCompare(s, 1); err == nil || !strings.Contains(err.Error(), "shards 2") {
+		t.Fatalf("AdaptiveCompare on 2 shards: err %v, want a shards rejection", err)
+	}
+}
+
 // TestScaleMigrationKnobValidation covers the Scale-level knob checks.
 func TestScaleMigrationKnobValidation(t *testing.T) {
 	for _, tc := range []struct {
@@ -72,6 +83,7 @@ func TestScaleMigrationKnobValidation(t *testing.T) {
 		{"negative epoch ops", func(s *Scale) { s.EpochOps = -1 }},
 		{"negative migration cost", func(s *Scale) { s.MigrationCostPerByte = -0.5 }},
 		{"negative migration budget", func(s *Scale) { s.MigrationBudget = -1 }},
+		{"epochs on a multi-shard cluster", func(s *Scale) { s.EpochOps, s.Shards = 4096, 2 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := Quick

@@ -105,6 +105,9 @@ func (s Scale) Validate() error {
 	if s.EpochOps < 0 {
 		return fmt.Errorf("experiments: epoch ops %d must be non-negative", s.EpochOps)
 	}
+	if s.EpochOps > 0 && s.Shards >= 2 {
+		return fmt.Errorf("experiments: epoch ops %d (adaptive replay) not supported with shards %d: a multi-shard cluster replays every shard statically and would drop the epochs", s.EpochOps, s.Shards)
+	}
 	if s.MigrationCostPerByte < 0 {
 		return fmt.Errorf("experiments: migration cost %v ns/byte must be non-negative", s.MigrationCostPerByte)
 	}

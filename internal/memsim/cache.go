@@ -244,6 +244,19 @@ func (c *LRUCache) Flush() {
 // ResetStats zeroes the hit/miss counters without touching contents.
 func (c *LRUCache) ResetStats() { c.hits, c.misses = 0, 0 }
 
+// Credit adds hits and misses to the counters without touching
+// contents — the accounting half of accesses whose outcomes were
+// decided elsewhere (the server's LLC outcome memo, DESIGN.md §12).
+func (c *LRUCache) Credit(hits, misses int64) {
+	c.hits += hits
+	c.misses += misses
+}
+
+// Cold reports that the cache is empty and has counted no access since
+// its counters were last reset — the state Flush plus ResetStats leave,
+// from which a replay's outcomes depend on the request stream alone.
+func (c *LRUCache) Cold() bool { return c.size == 0 && c.hits == 0 && c.misses == 0 }
+
 // Used reports resident bytes.
 func (c *LRUCache) Used() int64 { return c.used }
 

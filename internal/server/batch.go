@@ -134,14 +134,7 @@ func (d *Deployment) fillCost(t *ReplayTable, i int, brs [2]kvstore.BatchReplaye
 	c.size = int32(rec.Size)
 	c.tier = uint8(tier)
 
-	// Replicate valueBytes exactly, including its int/float round
-	// trips: reads recover the payload from the amplified trace,
-	// writes use the stored size directly.
-	readTouched := kvstore.Amplify(rec.Size, d.profile.ReadAmplification)
-	readVB := readTouched
-	if amp := d.profile.ReadAmplification; amp > 1 {
-		readVB = int(float64(readTouched) / amp)
-	}
+	readTouched, readVB := d.readFootprint(rec.Size)
 	writeTouched := kvstore.Amplify(rec.Size, d.profile.WriteAmplification)
 	c.readBytes = int32(readVB)
 	c.writeBytes = int32(rec.Size)
@@ -152,6 +145,22 @@ func (d *Deployment) fillCost(t *ReplayTable, i int, brs [2]kvstore.BatchReplaye
 	c.writeHitNs = d.staticCost(kvstore.Write, putChases, writeTouched, rec.Size, &memsim.LLCParams)
 	c.writeMissNs = d.staticCost(kvstore.Write, putChases, writeTouched, rec.Size, node)
 	return true
+}
+
+// readFootprint returns the bytes a static read of a size-byte record
+// touches and its valueBytes — the payload the CPU handles and the
+// footprint the record occupies in the LLC. It replicates valueBytes
+// exactly, including its int/float round trips: reads recover the
+// payload from the amplified trace. (Writes use the stored size
+// directly.) It is the one statement of the footprint rule for the
+// cost table and the LLC outcome memo.
+func (d *Deployment) readFootprint(size int) (touched, vb int) {
+	touched = kvstore.Amplify(size, d.profile.ReadAmplification)
+	vb = touched
+	if amp := d.profile.ReadAmplification; amp > 1 {
+		vb = int(float64(touched) / amp)
+	}
+	return touched, vb
 }
 
 // staticCost folds a static trace through the pricing formula, in the
@@ -180,19 +189,32 @@ func (d *Deployment) staticCost(kind kvstore.OpKind, chases, touched, vb int, me
 // request that crossed the bound is served and counted, matching the
 // per-op path's post-op budget check.
 func (t *ReplayTable) Serve(keys []uint32, kinds []uint8, maxClock simclock.Duration, lat []simclock.Duration) int {
+	t.d.settleLLC()
+	return t.serve(keys, kinds, nil, 0, maxClock, lat)
+}
+
+// serve is the kernel loop behind Serve and ServeMemo. With memo nil
+// each request's LLC outcome comes from the live cache model; otherwise
+// request i's outcome is bit memoOff+i of memo and the live model is not
+// touched.
+func (t *ReplayTable) serve(keys []uint32, kinds []uint8, memo []uint64, memoOff int, maxClock simclock.Duration, lat []simclock.Duration) int {
 	d := t.d
 	llc := d.machine.LLC()
 	noise := d.noise
 	for i := range keys {
 		c := &t.costs[keys[i]]
 		read := kinds[i] == uint8(kvstore.Read)
-		var ref memsim.RecordRef
-		if read {
-			ref = memsim.RecordRef{ID: c.id, Bytes: int(c.readBytes)}
-		} else {
-			ref = memsim.RecordRef{ID: c.id, Bytes: int(c.writeBytes)}
+		var hit bool
+		if memo != nil {
+			j := memoOff + i
+			hit = memo[j>>6]&(1<<(j&63)) != 0
+		} else if llc != nil {
+			ref := memsim.RecordRef{ID: c.id, Bytes: int(c.writeBytes)}
+			if read {
+				ref.Bytes = int(c.readBytes)
+			}
+			hit = llc.Access(ref)
 		}
-		hit := llc != nil && llc.Access(ref)
 		var base float64
 		switch {
 		case read && hit:
@@ -261,11 +283,12 @@ func (d *Deployment) ResetRun(seed int64) bool {
 	d.cfg.Seed = seed
 	d.clock.Reset()
 	d.ops = 0
-	d.noise = NewNoise(d.cfg.NoiseSigma, seed)
+	d.noise.Reseed(seed)
 	d.fault = d.cfg.Fault.roll(seed)
 	for i := range t.pause {
 		t.pause[i].accum = t.pause[i].reset
 	}
+	d.debt = llcDebt{}
 	if llc := d.machine.LLC(); llc != nil {
 		llc.Flush()
 		llc.ResetStats()

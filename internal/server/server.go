@@ -186,6 +186,11 @@ type Deployment struct {
 	// contents then diverge from the post-Load snapshot, so ResetRun
 	// refuses to rewind (migrate.go). Load clears it.
 	migrated bool
+
+	// debt is the served prefix of a memo-served run that the live LLC
+	// model has not seen yet; the next live LLC use replays it first
+	// (memo.go). Load and ResetRun clear it.
+	debt llcDebt
 }
 
 // NewDeployment builds an empty deployment with an AllFast placement.
@@ -205,8 +210,23 @@ func NewDeployment(cfg Config) *Deployment {
 }
 
 // Machine exposes the underlying memory machine (for calibration and
-// inspection).
-func (d *Deployment) Machine() *memsim.Machine { return d.machine }
+// inspection). A pending LLC debt is settled first, so the machine's
+// cache holds exactly what live replay would have left in it.
+func (d *Deployment) Machine() *memsim.Machine {
+	d.settleLLC()
+	return d.machine
+}
+
+// LLCHitRate reports the LLC hit fraction since the cache statistics
+// were last reset (Load, ResetRun), or 0 without an LLC model. Unlike
+// Machine it leaves a pending LLC debt alone: memo-served requests are
+// already counted.
+func (d *Deployment) LLCHitRate() float64 {
+	if llc := d.machine.LLC(); llc != nil {
+		return llc.HitRate()
+	}
+	return 0
+}
 
 // Clock returns the current simulated time.
 func (d *Deployment) Clock() simclock.Duration { return d.clock.Now() }
@@ -276,6 +296,7 @@ func (d *Deployment) Load(ds ycsb.Dataset, p Placement) error {
 	}
 	d.table, d.tableBuilt = nil, false
 	d.migrated = false
+	d.debt = llcDebt{}
 	if llc := d.machine.LLC(); llc != nil {
 		llc.Flush()
 		llc.ResetStats()
@@ -340,6 +361,7 @@ func (d *Deployment) DoIndex(idx int, kind kvstore.OpKind) Result {
 // price turns an operation trace into simulated service time and
 // advances the clock — the shared back half of Do and DoIndex.
 func (d *Deployment) price(tier memsim.Tier, st kvstore.Store, kind kvstore.OpKind, tr kvstore.OpTrace, size int) Result {
+	d.settleLLC()
 	// Cache residency is tracked at the record's value size; pricing uses
 	// the engine's (possibly amplified) touched bytes.
 	vb := d.valueBytes(tr, size)

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"mnemo/internal/kvstore"
@@ -294,6 +296,27 @@ func TestNoiseFactorProperties(t *testing.T) {
 	}
 	if NewNoise(0.05, 1).Sigma() != 0.05 {
 		t.Fatal("sigma accessor wrong")
+	}
+}
+
+// TestNoiseReseedMatchesFresh pins Reseed to the stream a fresh source
+// starts: a used generator reseeded in place must draw exactly what
+// NewNoise with the same seed draws, and the reference stream is
+// rand.NewSource's, so lazy seeding changed no golden.
+func TestNoiseReseedMatchesFresh(t *testing.T) {
+	used := NewNoise(0.02, 1)
+	for i := 0; i < 100; i++ {
+		used.Factor()
+	}
+	used.Reseed(77)
+	fresh := NewNoise(0.02, 77)
+	ref := rand.New(rand.NewSource(77))
+	for i := 0; i < 1000; i++ {
+		a, b := used.Factor(), fresh.Factor()
+		want := math.Exp(0.02 * ref.NormFloat64())
+		if a != b || b != want {
+			t.Fatalf("draw %d: reseeded %v, fresh %v, reference %v", i, a, b, want)
+		}
 	}
 }
 

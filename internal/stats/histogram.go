@@ -177,9 +177,7 @@ func (h *Histogram) Record(v float64) {
 		idx = h.bucketFor(v)
 	}
 	if idx >= len(h.counts) {
-		grown := make([]int64, idx+1)
-		copy(grown, h.counts)
-		h.counts = grown
+		h.grow(idx + 1)
 	}
 	h.counts[idx]++
 	h.total++
@@ -190,6 +188,23 @@ func (h *Histogram) Record(v float64) {
 	if v < h.minSeen {
 		h.minSeen = v
 	}
+}
+
+// grow extends counts to length n (> len) with zeroed buckets. The
+// backing array grows geometrically, by a quarter, so discovering a run
+// of new top buckets one at a time costs amortized O(1) allocations
+// while a finished histogram — many are kept in reports — carries at
+// most 25% slack. len(counts) stays exactly the highest observed bucket
+// + 1, which the quantile and mixture scans depend on. Capacity beyond
+// len is never written before it is exposed, so it is still zero.
+func (h *Histogram) grow(n int) {
+	if n <= cap(h.counts) {
+		h.counts = h.counts[:n]
+		return
+	}
+	grown := make([]int64, n, n+n/4)
+	copy(grown, h.counts)
+	h.counts = grown
 }
 
 // N returns the number of recorded observations.
@@ -275,9 +290,7 @@ func (h *Histogram) Merge(o *Histogram) {
 		panic("stats: merging incompatible histograms")
 	}
 	if len(o.counts) > len(h.counts) {
-		grown := make([]int64, len(o.counts))
-		copy(grown, h.counts)
-		h.counts = grown
+		h.grow(len(o.counts))
 	}
 	for i, c := range o.counts {
 		h.counts[i] += c

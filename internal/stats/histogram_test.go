@@ -160,3 +160,28 @@ func TestReservoirPanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestHistogramGrowthAmortized pins the bucket-growth contract: counts
+// keeps exactly highest-bucket+1 entries (the quantile scans depend on
+// it), while discovering new top buckets one at a time reallocates
+// geometrically rather than once per bucket.
+func TestHistogramGrowthAmortized(t *testing.T) {
+	values := []float64{}
+	for v := 150.0; v < 1e6; v *= 1.02 {
+		values = append(values, v)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		h := NewHistogram(100, 1.02)
+		for _, v := range values {
+			h.Record(v)
+			if want := h.bucketFor(v) + 1; len(h.counts) != want {
+				t.Fatalf("after %v: len(counts) = %d, want %d", v, len(h.counts), want)
+			}
+		}
+	})
+	// ~445 distinct top buckets; per-bucket growth would allocate that
+	// many times.
+	if allocs > 40 {
+		t.Fatalf("recording %d ascending values allocated %.0f times", len(values), allocs)
+	}
+}

@@ -270,6 +270,50 @@ type PackedTrace struct {
 	// ops — the precondition of table-driven replay, which cannot price
 	// deletions against a static dataset.
 	readWriteOnly bool
+
+	// outcomes caches the trace's LLC hit/miss bitmaps (Outcomes), one
+	// per OutcomeKey, for the lifetime of the encoding.
+	outcomesMu sync.Mutex
+	outcomes   []*outcomeMemo
+}
+
+// OutcomeKey names one LLC outcome stream of a packed trace: the engine
+// whose footprint rule sizes each request's cache reference, and the
+// modelled cache capacity in bytes. Engine is the server's engine
+// number; this package only compares keys.
+type OutcomeKey struct {
+	Engine   int
+	Capacity int64
+}
+
+type outcomeMemo struct {
+	key  OutcomeKey
+	once sync.Once
+	bits []uint64
+}
+
+// Outcomes returns the hit/miss bitmap cached under key, calling build
+// to compute it on the first request (bit i set = request i hits a
+// cold cache; see the server's LLC outcome memo, DESIGN.md §12).
+// Concurrent callers for one key share a single build — the others wait
+// for it — and distinct keys build independently. The bitmap lives as
+// long as the encoding and is read-only.
+func (t *PackedTrace) Outcomes(key OutcomeKey, build func() []uint64) []uint64 {
+	t.outcomesMu.Lock()
+	var m *outcomeMemo
+	for _, e := range t.outcomes {
+		if e.key == key {
+			m = e
+			break
+		}
+	}
+	if m == nil {
+		m = &outcomeMemo{key: key}
+		t.outcomes = append(t.outcomes, m)
+	}
+	t.outcomesMu.Unlock()
+	m.once.Do(func() { m.bits = build() })
+	return m.bits
 }
 
 // Batchable reports whether this encoding can drive the batched replay

@@ -2,6 +2,8 @@ package ycsb
 
 import (
 	"math"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"mnemo/internal/kvstore"
@@ -290,5 +292,44 @@ func TestPackedTraceDeleteNotBatchable(t *testing.T) {
 	var nilPT *PackedTrace
 	if nilPT.Batchable() {
 		t.Fatal("nil trace marked batchable")
+	}
+}
+
+// TestPackedTraceOutcomesBuildOnce pins the outcome memo's concurrency
+// contract: concurrent requests for one key share a single build and
+// the same bitmap, and a distinct key builds its own.
+func TestPackedTraceOutcomesBuildOnce(t *testing.T) {
+	w := MustGenerate(Spec{
+		Name: "memo", Keys: 10, Requests: 100,
+		Dist: DistSpec{Kind: Uniform}, ReadRatio: 1, Seed: 1,
+	})
+	pt := w.Packed()
+	var builds atomic.Int32
+	build := func() []uint64 {
+		builds.Add(1)
+		return make([]uint64, 2)
+	}
+	key := OutcomeKey{Engine: 1, Capacity: 1 << 20}
+	got := make([][]uint64, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = pt.Outcomes(key, build)
+		}()
+	}
+	wg.Wait()
+	if n := builds.Load(); n != 1 {
+		t.Fatalf("%d builds for one key, want 1", n)
+	}
+	for g := range got {
+		if &got[g][0] != &got[0][0] {
+			t.Fatalf("caller %d got a different bitmap", g)
+		}
+	}
+	other := pt.Outcomes(OutcomeKey{Engine: 2, Capacity: 1 << 20}, build)
+	if builds.Load() != 2 || &other[0] == &got[0][0] {
+		t.Fatal("a distinct key reused another key's bitmap")
 	}
 }

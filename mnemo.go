@@ -340,6 +340,9 @@ func (o Options) validate() error {
 	if o.MigrationBudget < 0 {
 		return fmt.Errorf("mnemo: MigrationBudget %d bytes must be non-negative (0 means unlimited)", o.MigrationBudget)
 	}
+	if o.EpochOps > 0 && o.Shards >= 2 {
+		return fmt.Errorf("mnemo: EpochOps %d (adaptive replay) is not supported with Shards %d: a multi-shard cluster replays every shard statically and would drop the epochs; use Shards 0 or 1", o.EpochOps, o.Shards)
+	}
 	if (o.MigrationCostPerByte > 0 || o.MigrationBudget > 0) && o.EpochOps == 0 {
 		return fmt.Errorf("mnemo: migration knobs (MigrationCostPerByte/MigrationBudget) require EpochOps ≥ 1, got EpochOps 0")
 	}
