@@ -219,19 +219,17 @@ func TestBatchedReplaySteadyStateZeroAllocs(t *testing.T) {
 	if err := d.Load(w.Dataset, server.AllFast()); err != nil {
 		t.Fatal(err)
 	}
-	tab := d.BatchTable()
-	if tab == nil {
+	if d.BatchTable() == nil {
 		t.Fatal("no batch table")
 	}
-	pt := w.Packed()
 	classes := sizeClasses(w.Dataset.Records)
 	a := newReplayAccum()
 	ctx := context.Background()
-	if err := replayBatched(ctx, d, tab, pt.Keys, pt.Kinds, classes, a, 0); err != nil {
+	if err := replayTrace(ctx, d, w, classes, a, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		if err := replayBatched(ctx, d, tab, pt.Keys, pt.Kinds, classes, a, 0); err != nil {
+		if err := replayTrace(ctx, d, w, classes, a, 0, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

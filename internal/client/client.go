@@ -247,116 +247,6 @@ func sizeClasses(recs []ycsb.Record) []uint8 {
 	return classes
 }
 
-// replayBlockOps is the replay block size shared by both replay paths,
-// equal to the batched kernel's server.ReplayBlockOps. It replaces the
-// per-op `i&4095 == 4095` cancellation poll of the original loop: one
-// ctx check per 4096-request block bounds wall-clock cancellation
-// latency to microseconds (replay advances only simulated time) while
-// keeping every block-granularity branch — cancellation, and the choice
-// between the budget-checking and unbudgeted inner loops — off the
-// steady-state per-op path.
-const replayBlockOps = server.ReplayBlockOps
-
-// replay drives the workload trace through the deployment's
-// index-addressed request path, folding every response into the
-// accumulators. The loop body does no string work: requests address
-// records by trace index, size classes come from the precomputed table,
-// and the accumulators are slice-indexed.
-func replay(d *server.Deployment, w *ycsb.Workload, classes []uint8, a *replayAccum) {
-	_ = replayBounded(context.Background(), d, w.Ops, classes, a, 0)
-}
-
-// replayBounded is the per-operation replay path under a watchdog: a
-// per-run budget in simulated time (0 = unbounded, checked every request
-// so an injected stall is caught at the op where the clock jumped) and a
-// cancellable context, polled once per replayBlockOps-request block. The
-// common unbudgeted case runs an inner loop with no per-op checks at
-// all; both variants stay allocation-free.
-func replayBounded(ctx context.Context, d *server.Deployment, ops []ycsb.Op, classes []uint8, a *replayAccum, budget simclock.Duration) error {
-	return replayBoundedChunk(ctx, d, ops, classes, a, budget, d.Clock(), 0, len(ops))
-}
-
-// replayBoundedChunk is the per-operation replay of one trace chunk
-// inside a larger run: the budget is measured against the run's start
-// clock and progress is reported in run-global request indices, so an
-// epoch-chunked run times out at the same request, with the same
-// message, as an unchunked one. replayBounded is the whole-trace case
-// (start = now, done = 0, total = len(ops)).
-func replayBoundedChunk(ctx context.Context, d *server.Deployment, ops []ycsb.Op, classes []uint8, a *replayAccum, budget simclock.Duration, start simclock.Duration, done, total int) error {
-	for blk := 0; blk < len(ops); blk += replayBlockOps {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		end := blk + replayBlockOps
-		if end > len(ops) {
-			end = len(ops)
-		}
-		if budget <= 0 {
-			for _, op := range ops[blk:end] {
-				res := d.DoIndex(op.Key, op.Kind)
-				a.observe(op.Kind, int(classes[op.Key]), float64(res.Latency.Nanoseconds()))
-			}
-			continue
-		}
-		for i := blk; i < end; i++ {
-			op := ops[i]
-			res := d.DoIndex(op.Key, op.Kind)
-			a.observe(op.Kind, int(classes[op.Key]), float64(res.Latency.Nanoseconds()))
-			if d.Clock()-start > budget {
-				return fmt.Errorf("%w after %d/%d requests (simulated %v > budget %v)",
-					ErrRunTimeout, done+i+1, total, d.Clock()-start, budget)
-			}
-		}
-	}
-	return nil
-}
-
-// replayBatched drives the workload through the deployment's batched
-// replay kernel: the packed struct-of-arrays trace is served one
-// replayBlockOps block at a time by ReplayTable.Serve, and the returned
-// per-request latencies are folded into the accumulators afterwards.
-// Cancellation is polled per block, like replayBounded; the simulated
-// budget becomes an absolute clock bound the kernel checks after each
-// request, so a budget-tripping run reports the same request index, the
-// same clock reading — and, being built from the same pricing constants
-// and the same noise draws, the same latencies — as the per-op path.
-func replayBatched(ctx context.Context, d *server.Deployment, t *server.ReplayTable, keys []uint32, kinds []uint8, classes []uint8, a *replayAccum, budget simclock.Duration) error {
-	return replayBatchedChunk(ctx, d, t, server.LLCMemo{}, keys, kinds, classes, a, budget, d.Clock(), 0, len(keys))
-}
-
-// replayBatchedChunk is the batched replay of one trace chunk inside a
-// larger run, with the budget anchored at the run's start clock and
-// progress reported in run-global request indices — the batched twin of
-// replayBoundedChunk. A non-zero memo (a whole run served from its LLC
-// outcome memo; keys/kinds then start at the trace's request 0) routes
-// every block through ReplayTable.ServeMemo.
-func replayBatchedChunk(ctx context.Context, d *server.Deployment, t *server.ReplayTable, memo server.LLCMemo, keys []uint32, kinds []uint8, classes []uint8, a *replayAccum, budget simclock.Duration, start simclock.Duration, done, total int) error {
-	var maxClock simclock.Duration
-	if budget > 0 {
-		maxClock = start + budget
-	}
-	lat := t.Block()
-	for blk := 0; blk < len(keys); blk += replayBlockOps {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		end := blk + replayBlockOps
-		if end > len(keys) {
-			end = len(keys)
-		}
-		bkeys, bkinds := keys[blk:end], kinds[blk:end]
-		served := t.ServeMemo(memo, blk, bkeys, bkinds, maxClock, lat)
-		for i := 0; i < served; i++ {
-			a.observe(kvstore.OpKind(bkinds[i]), int(classes[bkeys[i]]), float64(lat[i].Nanoseconds()))
-		}
-		if served < len(bkeys) {
-			return fmt.Errorf("%w after %d/%d requests (simulated %v > budget %v)",
-				ErrRunTimeout, done+blk+served, total, d.Clock()-start, budget)
-		}
-	}
-	return nil
-}
-
 // mergedHistogram folds the per-size-class histograms of both request
 // kinds into one run-level histogram. Since each request was recorded in
 // exactly one class, the merged counts, extrema and quantiles equal those
@@ -394,19 +284,20 @@ func RunCtx(ctx context.Context, d *server.Deployment, w *ycsb.Workload, budget 
 	start := d.Clock()
 	a := newReplayAccum()
 	classes := sizeClasses(w.Dataset.Records)
-	var tel epochTelemetry
-	var err error
+	var ep *epochRun
 	if src, epochOps := d.AdaptiveSpec(); src != nil && epochOps > 0 {
 		if w.Stream != nil {
-			// Epoch chunking needs random access into the trace to
-			// re-run boundary analysis; a streamed trace has none.
+			// A foreign trace's frames may be shorter than replayBlockOps,
+			// so its epochs would not land where the in-memory ones do.
 			return RunStats{}, fmt.Errorf("client: adaptive tiering (EpochOps) does not support streamed traces")
 		}
-		tel, err = replayEpochs(ctx, d, src, epochOps, w, classes, a, budget)
-	} else {
-		err = replayStatic(ctx, d, w, classes, a, budget)
+		obsv, err := src.Begin(w)
+		if err != nil {
+			return RunStats{}, fmt.Errorf("client: adaptive policy rejected workload: %w", err)
+		}
+		ep = newEpochRun(obsv, epochOps, len(w.Dataset.Records))
 	}
-	if err != nil {
+	if err := replayTrace(ctx, d, w, classes, a, budget, ep); err != nil {
 		return RunStats{}, err
 	}
 	requests := w.RequestCount()
@@ -441,59 +332,8 @@ func RunCtx(ctx context.Context, d *server.Deployment, w *ycsb.Workload, budget 
 	out.P99Ns = hist.Quantile(0.99)
 	out.MaxNs = hist.Max()
 	out.LLCHitRate = d.LLCHitRate()
-	out.Epochs = tel.epochs
-	out.MovesApplied = tel.moves
-	out.MigratedBytes = tel.bytes
-	out.MigrationNs = tel.costNs
-	out.EpochTraffic = tel.traffic
+	ep.fold(&out)
 	return out, nil
-}
-
-// memoFor resolves a batched run's LLC outcome memo. The memo and the
-// live LLC model are bit-identical by contract; the differential tests
-// swap this for a resolver that never memoizes, to drive the live
-// kernel through the whole execution stack as their reference.
-var memoFor = (*server.ReplayTable).Memo
-
-// replayStatic is the legacy single-placement replay — the whole trace
-// in one pass, batched when the deployment and trace support it. It is
-// the EpochOps=0 path and stays bit-identical to the pre-adaptive stack.
-// A batched run on a cold LLC reads its hit/miss stream from the
-// trace's LLC outcome memo (server.ReplayTable.Memo) instead of
-// re-running the cache model.
-func replayStatic(ctx context.Context, d *server.Deployment, w *ycsb.Workload, classes []uint8, a *replayAccum, budget simclock.Duration) error {
-	if w.Stream != nil {
-		return replayStream(ctx, d, w, classes, a, budget)
-	}
-	crashAt := d.CrashOp()
-	var err error
-	if t := d.BatchTable(); t != nil && w.Packed().Batchable() {
-		pt := w.Packed()
-		keys, kinds := pt.Keys, pt.Kinds
-		if crashAt >= 0 && crashAt < len(keys) {
-			keys, kinds = keys[:crashAt], kinds[:crashAt]
-		} else {
-			crashAt = -1 // crash point beyond the trace: never fires
-		}
-		err = replayBatchedChunk(ctx, d, t, memoFor(t, w), keys, kinds, classes, a, budget, d.Clock(), 0, len(keys))
-	} else if w.Ops == nil && w.RequestCount() > 0 {
-		// A packed-only trace (a shard partitioner sub-workload) cannot
-		// drive the per-operation path; failing beats silently replaying
-		// zero requests.
-		return fmt.Errorf("client: packed-only trace requires the batched replay path")
-	} else {
-		ops := w.Ops
-		if crashAt >= 0 && crashAt < len(ops) {
-			ops = ops[:crashAt]
-		} else {
-			crashAt = -1
-		}
-		err = replayBounded(ctx, d, ops, classes, a, budget)
-	}
-	if err == nil && crashAt >= 0 {
-		err = d.CrashError()
-	}
-	return err
 }
 
 // Execute builds a fresh deployment, loads the dataset under the given

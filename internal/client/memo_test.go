@@ -92,7 +92,8 @@ func (c *countdownCtx) Err() error {
 
 // TestLLCMemoMatchesLiveAndPerOp sweeps engines, placements, noise,
 // the crash, stall and outlier faults (a stall trips the run timeout
-// mid-block) and cluster shapes.
+// mid-block), cluster shapes and adaptive epochs (greedySource at
+// EpochOps 4096: migrations between memo-served frames).
 func TestLLCMemoMatchesLiveAndPerOp(t *testing.T) {
 	w := testWorkload(0.9)
 	n := len(w.Dataset.Records)
@@ -114,25 +115,36 @@ func TestLLCMemoMatchesLiveAndPerOp(t *testing.T) {
 		{"outlier", server.FaultSpec{Seed: 5, OutlierProb: 1}},
 	}
 	sawErr := map[string]bool{}
+	sawMoves := false
 	for _, e := range goldenEngines {
 		for _, pl := range placements {
 			execute := func(cfg server.Config) (RunStats, error) { return Execute(cfg, w, pl.p) }
 			for _, sigma := range []float64{0, 0.02} {
 				for _, f := range faults {
 					for _, shards := range []int{0, 1, 2} {
-						cfg := server.DefaultConfig(e, 11)
-						cfg.NoiseSigma = sigma
-						cfg.Fault = f.f
-						cfg.Shards = shards
-						if f.name == "stall" {
-							// The healthy trace never reaches this budget;
-							// the 10 s injected stall always crosses it.
-							cfg.RunTimeout = simclock.Second
-						}
-						label := fmt.Sprintf("%v/%s/σ%v/%s/shards%d", e, pl.name, sigma, f.name, shards)
-						o := threeWays(t, label, cfg, execute)
-						if o.err != "" {
-							sawErr[f.name] = true
+						for _, epochOps := range []int{0, 4096} {
+							cfg := server.DefaultConfig(e, 11)
+							cfg.NoiseSigma = sigma
+							cfg.Fault = f.f
+							cfg.Shards = shards
+							if epochOps > 0 {
+								cfg.Adaptive = greedySource{}
+								cfg.EpochOps = epochOps
+								cfg.MigrationCostPerByte = 0.5
+							}
+							if f.name == "stall" {
+								// The healthy trace never reaches this budget;
+								// the 10 s injected stall always crosses it.
+								cfg.RunTimeout = simclock.Second
+							}
+							label := fmt.Sprintf("%v/%s/σ%v/%s/shards%d/epoch%d", e, pl.name, sigma, f.name, shards, epochOps)
+							o := threeWays(t, label, cfg, execute)
+							if o.err != "" {
+								sawErr[f.name] = true
+							}
+							if o.st.MovesApplied > 0 {
+								sawMoves = true
+							}
 						}
 					}
 				}
@@ -143,6 +155,9 @@ func TestLLCMemoMatchesLiveAndPerOp(t *testing.T) {
 		if !sawErr[f] {
 			t.Errorf("no %s fault fired; coverage vacuous", f)
 		}
+	}
+	if !sawMoves {
+		t.Error("no adaptive run migrated; epoch coverage vacuous")
 	}
 }
 
@@ -296,13 +311,11 @@ func TestLLCMemoSteadyStateZeroAllocs(t *testing.T) {
 	if err := d.Load(w.Dataset, server.AllFast()); err != nil {
 		t.Fatal(err)
 	}
-	tab := d.BatchTable()
-	pt := w.Packed()
 	classes := sizeClasses(w.Dataset.Records)
 	a := newReplayAccum()
 	ctx := context.Background()
 	pass := func() {
-		if err := replayBatchedChunk(ctx, d, tab, tab.Memo(w), pt.Keys, pt.Kinds, classes, a, 0, d.Clock(), 0, len(pt.Keys)); err != nil {
+		if err := replayTrace(ctx, d, w, classes, a, 0, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

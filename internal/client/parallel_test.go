@@ -5,6 +5,7 @@ package client
 // steady-state replay loop must not allocate.
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -55,20 +56,27 @@ func TestReplaySteadyStateZeroAllocs(t *testing.T) {
 		Dist:      ycsb.DistSpec{Kind: ycsb.Uniform},
 		ReadRatio: 1.0, Sizes: ycsb.SizeFixed1KB, Seed: 9,
 	})
-	cfg := server.DefaultConfig(server.RedisLike, 3)
-	cfg.NoiseSigma = 0 // keep the latency set closed across passes
-	d := server.NewDeployment(cfg)
-	if err := d.Load(w.Dataset, server.AllFast()); err != nil {
-		t.Fatal(err)
-	}
-	classes := sizeClasses(w.Dataset.Records)
-	a := newReplayAccum()
-	replay(d, w, classes, a) // warm the LLC and size every accumulator
+	for _, perOp := range []bool{false, true} {
+		cfg := server.DefaultConfig(server.RedisLike, 3)
+		cfg.NoiseSigma = 0 // keep the latency set closed across passes
+		cfg.DisableBatchReplay = perOp
+		d := server.NewDeployment(cfg)
+		if err := d.Load(w.Dataset, server.AllFast()); err != nil {
+			t.Fatal(err)
+		}
+		classes := sizeClasses(w.Dataset.Records)
+		a := newReplayAccum()
+		ctx := context.Background()
+		pass := func() {
+			if err := replayTrace(ctx, d, w, classes, a, 0, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pass() // warm the LLC and size every accumulator
 
-	allocs := testing.AllocsPerRun(5, func() {
-		replay(d, w, classes, a)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state replay allocates %.1f times per pass, want 0", allocs)
+		allocs := testing.AllocsPerRun(5, pass)
+		if allocs != 0 {
+			t.Fatalf("perOp=%v: steady-state replay allocates %.1f times per pass, want 0", perOp, allocs)
+		}
 	}
 }

@@ -19,10 +19,11 @@ import (
 // RNG stream, the GC-pause accumulator, the fault plan and the simulated
 // clock. No kvstore.Store interface call remains on the path.
 //
-// Bit-identity with the per-operation path is by construction: the table
-// builder executes the exact float-operation sequence of price() on each
-// record's static trace, and Serve consumes the same noise draws, the
-// same fault plan and the same LLC decisions in the same order.
+// Bit-identity with the per-operation path is by construction: both
+// price through staticCost — the table builder on each record's static
+// trace, price() on the live one — and Serve consumes the same noise
+// draws, the same fault plan and the same LLC decisions in the same
+// order.
 
 // ReplayBlockOps is the number of requests a client serves per kernel
 // call. It matches the per-op path's historical cancellation-poll stride
@@ -88,18 +89,46 @@ func (d *Deployment) BatchTable() *ReplayTable {
 	if d.cfg.DisableBatchReplay || d.records == nil {
 		return nil
 	}
-	var brs [2]kvstore.BatchReplayer
+	brs, ok := d.batchReplayers()
+	if !ok {
+		return nil
+	}
+	t := d.newTable()
+	if !d.priceTable(t, brs, nil) {
+		return nil
+	}
+	d.table = t
+	return t
+}
+
+func (d *Deployment) newTable() *ReplayTable {
+	return &ReplayTable{d: d, costs: make([]opCost, len(d.records)), stallNs: float64(d.cfg.Fault.stall())}
+}
+
+// batchReplayers returns both instances as kvstore.BatchReplayers, or
+// false when an engine cannot promise static traces in its current
+// state.
+func (d *Deployment) batchReplayers() (brs [2]kvstore.BatchReplayer, ok bool) {
 	for i, inst := range d.instances {
 		br, ok := inst.(kvstore.BatchReplayer)
 		if !ok || !br.ReplayReady() {
-			return nil
+			return brs, false
 		}
 		brs[i] = br
 	}
-	t := &ReplayTable{d: d, costs: make([]opCost, len(d.records)), stallNs: float64(d.cfg.Fault.stall())}
+	return brs, true
+}
+
+// priceTable prices t from the engines' current structure: every row
+// not marked dead (dead may be nil), then the pause mirrors, snapshotted
+// from the engines' accumulators. It is the one table pricing pass
+// behind the build (BatchTable), the post-migration patch (patchTable)
+// and the post-delete retry (RetryBatchTable). It returns false, with t
+// partly priced, when a record's trace is not static.
+func (d *Deployment) priceTable(t *ReplayTable, brs [2]kvstore.BatchReplayer, dead []bool) bool {
 	for i := range d.records {
-		if !d.fillCost(t, i, brs) {
-			return nil
+		if (dead == nil || !dead[i]) && !d.fillCost(t, i, brs) {
+			return false
 		}
 	}
 	for i, br := range brs {
@@ -107,8 +136,7 @@ func (d *Deployment) BatchTable() *ReplayTable {
 		t.pause[i] = pauseState{budget: pm.BudgetBytes, perOp: pm.PerOpBytes,
 			pauseNs: pm.PauseNs, accum: pm.Accum, reset: pm.Accum}
 	}
-	d.table = t
-	return t
+	return true
 }
 
 // DropBatchTable latches the batched kernel off for the rest of the
@@ -119,9 +147,8 @@ func (d *Deployment) BatchTable() *ReplayTable {
 func (d *Deployment) DropBatchTable() { d.table, d.tableBuilt = nil, true }
 
 // fillCost prices one record into the table from its current tier's
-// static trace. It is the per-record half of the BatchTable build,
-// shared with ApplyMoves, which re-invokes it to patch migrated records
-// in place. It returns false when the record's trace is not static.
+// static trace — the per-record half of priceTable. It returns false
+// when the record's trace is not static.
 func (d *Deployment) fillCost(t *ReplayTable, i int, brs [2]kvstore.BatchReplayer) bool {
 	rec := &d.records[i]
 	tier := d.tiers[i]
@@ -149,25 +176,19 @@ func (d *Deployment) fillCost(t *ReplayTable, i int, brs [2]kvstore.BatchReplaye
 
 // readFootprint returns the bytes a static read of a size-byte record
 // touches and its valueBytes — the payload the CPU handles and the
-// footprint the record occupies in the LLC. It replicates valueBytes
-// exactly, including its int/float round trips: reads recover the
-// payload from the amplified trace. (Writes use the stored size
-// directly.) It is the one statement of the footprint rule for the
-// cost table and the LLC outcome memo.
+// footprint the record occupies in the LLC. (Writes use the stored size
+// directly.) It is the one statement of the footprint rule for the cost
+// table and the LLC outcome memo.
 func (d *Deployment) readFootprint(size int) (touched, vb int) {
 	touched = kvstore.Amplify(size, d.profile.ReadAmplification)
-	vb = touched
-	if amp := d.profile.ReadAmplification; amp > 1 {
-		vb = int(float64(touched) / amp)
-	}
-	return touched, vb
+	return touched, d.readPayload(touched)
 }
 
-// staticCost folds a static trace through the pricing formula, in the
-// exact operation order of price() so the precomputed sum is bit-equal
-// to what the live path would have produced: transfer cost (with the
-// write penalty applied to the transfer term only), plus chase cost,
-// divided by MLP, plus the per-byte CPU cost.
+// staticCost is the pre-noise service time of one operation (DESIGN.md
+// §5): chase plus transfer cost (with the write penalty applied to the
+// transfer term only), divided by MLP, plus the per-byte CPU cost. It
+// is the one pricing formula: the per-op path (price) applies it to the
+// live trace, the cost table to each record's static trace.
 func (d *Deployment) staticCost(kind kvstore.OpKind, chases, touched, vb int, medium *memsim.NodeParams) float64 {
 	chaseNs, transferNs := medium.OpCost(chases, touched)
 	if kind == kvstore.Write {

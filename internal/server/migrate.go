@@ -83,6 +83,11 @@ func (d *Deployment) ApplyMoves(moves []Move) MigrationResult {
 	if len(moves) == 0 {
 		return res
 	}
+	if d.table != nil {
+		// While a cost table exists its pause mirrors, not the engines,
+		// hold the GC accounting; the migration writes charge from there.
+		d.table.SyncEnginePauses()
+	}
 	for pass := 0; pass < 2; pass++ {
 		for _, m := range moves {
 			if (pass == 0) != (m.To == memsim.Slow) {
@@ -144,32 +149,13 @@ func (d *Deployment) ApplyMoves(moves []Move) MigrationResult {
 // invalidated so the next BatchTable call rebuilds or falls back to the
 // per-op path.
 func (d *Deployment) patchTable() {
-	t := d.table
-	if t == nil {
+	// Migration writes also advanced the engines' GC accounting, which
+	// priceTable re-snapshots into the kernel's mirrors.
+	if d.table == nil {
 		return
 	}
-	var brs [2]kvstore.BatchReplayer
-	for i, inst := range d.instances {
-		br, ok := inst.(kvstore.BatchReplayer)
-		if !ok || !br.ReplayReady() {
-			d.table, d.tableBuilt = nil, false
-			return
-		}
-		brs[i] = br
-	}
-	for idx := range d.records {
-		if !d.fillCost(t, idx, brs) {
-			d.table, d.tableBuilt = nil, false
-			return
-		}
-	}
-	// Migration writes advanced the engines' GC accounting; re-snapshot
-	// the kernel's mirrors so the next block charges from the engines'
-	// true post-migration accumulators.
-	for i, br := range brs {
-		pm := br.ReplayPauses()
-		t.pause[i] = pauseState{budget: pm.BudgetBytes, perOp: pm.PerOpBytes,
-			pauseNs: pm.PauseNs, accum: pm.Accum, reset: pm.Accum}
+	if brs, ok := d.batchReplayers(); !ok || !d.priceTable(d.table, brs, nil) {
+		d.table, d.tableBuilt = nil, false
 	}
 }
 

@@ -371,23 +371,11 @@ func (d *Deployment) price(tier memsim.Tier, st kvstore.Store, kind kvstore.OpKi
 		d.machine.Invalidate(ref)
 	}
 
-	var medium *memsim.NodeParams
-	if hit {
-		medium = &memsim.LLCParams
-	} else {
+	medium := &memsim.LLCParams
+	if !hit {
 		medium = &d.machine.Node(tier).Params
 	}
-	transferNs := medium.TransferNs(tr.Touched)
-	if kind == kvstore.Write {
-		transferNs *= d.profile.WritePenalty
-	}
-	memNs := medium.ChaseNs(tr.Chases) + transferNs
-	if mlp := d.profile.MLP; mlp != 1 {
-		memNs /= mlp
-	}
-
-	cpuNs := d.profile.CPUBaseNs + d.profile.CPUPerByteNs*float64(vb)
-	serviceNs := (cpuNs+memNs)*d.noise.Factor() + st.TakePauseNs()
+	serviceNs := d.staticCost(kind, tr.Chases, tr.Touched, vb, medium)*d.noise.Factor() + st.TakePauseNs()
 
 	// Scheduled faults: an outlier run inflates every service time; a
 	// stalled run jumps the clock once, at its rolled request index.
@@ -408,9 +396,7 @@ func (d *Deployment) price(tier memsim.Tier, st kvstore.Store, kind kvstore.OpKi
 
 // valueBytes recovers the record's actual payload size from an operation
 // trace: the size the CPU handles once (serialization and copy) and the
-// footprint the record occupies in the LLC. Engine traces report Touched
-// = payload × amplification, so the engine's amplification factor is
-// divided back out.
+// footprint the record occupies in the LLC.
 func (d *Deployment) valueBytes(tr kvstore.OpTrace, writeSize int) int {
 	if tr.Kind == kvstore.Write {
 		return writeSize
@@ -418,11 +404,15 @@ func (d *Deployment) valueBytes(tr kvstore.OpTrace, writeSize int) int {
 	if !tr.Found {
 		return 0
 	}
-	amp := d.profile.ReadAmplification
-	if amp <= 1 {
-		// Unamplified engines (hash, slab) touch exactly the payload;
-		// dividing by 1.0 is the identity, so skip the float round trip.
-		return tr.Touched
+	return d.readPayload(tr.Touched)
+}
+
+// readPayload divides the engine's read amplification back out of a
+// read's touched bytes (engine traces report Touched = payload ×
+// amplification). Unamplified engines touch exactly the payload.
+func (d *Deployment) readPayload(touched int) int {
+	if amp := d.profile.ReadAmplification; amp > 1 {
+		return int(float64(touched) / amp)
 	}
-	return int(float64(tr.Touched) / amp)
+	return touched
 }

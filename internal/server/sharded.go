@@ -72,11 +72,7 @@ func NewShardedDeployment(cfg Config, w *ycsb.Workload) (*ShardedDeployment, err
 	if cfg.VirtualNodes < 0 {
 		return nil, fmt.Errorf("server: sharded deployment needs VirtualNodes ≥ 0 (0 = default %d), got %d", shard.DefaultVirtualNodes, cfg.VirtualNodes)
 	}
-	// The batched kernel consumes the packed sub-traces directly; only
-	// a config or engine that forces the per-op path needs Ops
-	// materialized per shard.
-	withOps := cfg.DisableBatchReplay || !w.Packed().Batchable()
-	part, err := shard.For(w, cfg.Shards, cfg.VirtualNodes, withOps)
+	part, err := shard.For(w, cfg.Shards, cfg.VirtualNodes)
 	if err != nil {
 		return nil, err
 	}

@@ -73,32 +73,13 @@ func (d *Deployment) RetryBatchTable(dead []bool) *ReplayTable {
 	if d.cfg.DisableBatchReplay || d.records == nil {
 		return nil
 	}
-	var brs [2]kvstore.BatchReplayer
-	for i, inst := range d.instances {
-		br, ok := inst.(kvstore.BatchReplayer)
-		if !ok || !br.ReplayReady() {
-			d.table, d.tableBuilt = nil, true
-			return nil
-		}
-		brs[i] = br
-	}
+	brs, ok := d.batchReplayers()
 	t := d.table
-	if t == nil {
-		t = &ReplayTable{d: d, costs: make([]opCost, len(d.records)), stallNs: float64(d.cfg.Fault.stall())}
+	if ok && t == nil {
+		t = d.newTable()
 	}
-	for i := range d.records {
-		if dead != nil && dead[i] {
-			continue
-		}
-		if !d.fillCost(t, i, brs) {
-			d.table, d.tableBuilt = nil, true
-			return nil
-		}
-	}
-	for i, br := range brs {
-		pm := br.ReplayPauses()
-		t.pause[i] = pauseState{budget: pm.BudgetBytes, perOp: pm.PerOpBytes,
-			pauseNs: pm.PauseNs, accum: pm.Accum, reset: pm.Accum}
+	if !ok || !d.priceTable(t, brs, dead) {
+		t = nil
 	}
 	d.table, d.tableBuilt = t, true
 	return t

@@ -38,9 +38,9 @@ type Partition struct {
 }
 
 // Split partitions the workload over a fresh ring. withOps materializes
-// per-shard Op slices (required for the per-operation replay path);
-// without it, batchable parent traces are split in packed form only.
-// Callers should prefer the cached For.
+// per-shard Op slices; without it, batchable parent traces are split in
+// packed form only, which every replay path reads. Callers should
+// prefer the cached For.
 func Split(w *ycsb.Workload, shards, vnodes int, withOps bool) (*Partition, error) {
 	ring, err := NewRing(shards, vnodes)
 	if err != nil {
@@ -190,10 +190,9 @@ func (p *Partition) HotShardSpread(reads, writes []int, hot int) int {
 // keyed by workload identity plus cluster shape; a small FIFO bound
 // keeps dead workloads from pinning multi-GB partitions.
 type cacheKey struct {
-	w       *ycsb.Workload
-	shards  int
-	vnodes  int
-	withOps bool
+	w      *ycsb.Workload
+	shards int
+	vnodes int
 }
 
 type cacheEntry struct {
@@ -214,14 +213,15 @@ var cache = struct {
 const cacheLimit = 8
 
 // For returns the cached partition of w at the given cluster shape,
-// splitting at most once per (workload, shards, vnodes, withOps).
-// vnodes ≤ 0 uses DefaultVirtualNodes (the normalized value also keys
-// the cache, so explicit 64 and default hit the same entry).
-func For(w *ycsb.Workload, shards, vnodes int, withOps bool) (*Partition, error) {
+// splitting at most once per (workload, shards, vnodes). Batchable
+// traces split in packed form only; every replay path reads packed
+// sub-traces. vnodes ≤ 0 uses DefaultVirtualNodes (the normalized value
+// also keys the cache, so explicit 64 and default hit the same entry).
+func For(w *ycsb.Workload, shards, vnodes int) (*Partition, error) {
 	if vnodes <= 0 {
 		vnodes = DefaultVirtualNodes
 	}
-	key := cacheKey{w: w, shards: shards, vnodes: vnodes, withOps: withOps}
+	key := cacheKey{w: w, shards: shards, vnodes: vnodes}
 	cache.Lock()
 	e, ok := cache.m[key]
 	if !ok {
@@ -234,6 +234,6 @@ func For(w *ycsb.Workload, shards, vnodes int, withOps bool) (*Partition, error)
 		}
 	}
 	cache.Unlock()
-	e.once.Do(func() { e.p, e.err = Split(w, shards, vnodes, withOps) })
+	e.once.Do(func() { e.p, e.err = Split(w, shards, vnodes, false) })
 	return e.p, e.err
 }

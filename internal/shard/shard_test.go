@@ -194,18 +194,18 @@ func TestHotShardSpread(t *testing.T) {
 
 func TestForCaches(t *testing.T) {
 	w := testWorkload(t, 1000, 5000)
-	a, err := For(w, 4, 0, false)
+	a, err := For(w, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := For(w, 4, DefaultVirtualNodes, false)
+	b, err := For(w, 4, DefaultVirtualNodes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Fatal("For did not cache: same shape returned distinct partitions")
 	}
-	c, err := For(w, 2, 0, false)
+	c, err := For(w, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,11 +215,11 @@ func TestForCaches(t *testing.T) {
 	// FIFO eviction: push past the limit, then re-request the first
 	// shape — a fresh (but equivalent) partition is rebuilt.
 	for i := 0; i < cacheLimit+2; i++ {
-		if _, err := For(w, 4, 16+i, false); err != nil {
+		if _, err := For(w, 4, 16+i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	a2, err := For(w, 4, 0, false)
+	a2, err := For(w, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

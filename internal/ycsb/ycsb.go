@@ -337,20 +337,27 @@ func (w *Workload) Packed() *PackedTrace {
 			return
 		}
 		pt := &PackedTrace{
-			Keys:          make([]uint32, len(w.Ops)),
-			Kinds:         make([]uint8, len(w.Ops)),
-			readWriteOnly: true,
+			Keys:  make([]uint32, len(w.Ops)),
+			Kinds: make([]uint8, len(w.Ops)),
 		}
 		for i, op := range w.Ops {
 			pt.Keys[i] = uint32(op.Key)
 			pt.Kinds[i] = uint8(op.Kind)
-			if op.Kind != kvstore.Read && op.Kind != kvstore.Write {
-				pt.readWriteOnly = false
-			}
 		}
+		pt.readWriteOnly = readWriteOnly(pt.Kinds)
 		w.packed = pt
 	})
 	return w.packed
+}
+
+// readWriteOnly reports whether kinds holds only Read and Write ops.
+func readWriteOnly(kinds []uint8) bool {
+	for _, k := range kinds {
+		if kvstore.OpKind(k) != kvstore.Read && kvstore.OpKind(k) != kvstore.Write {
+			return false
+		}
+	}
+	return true
 }
 
 // KeyName formats the canonical key string for a key index.
@@ -363,13 +370,7 @@ func KeyName(i int) string { return fmt.Sprintf("user%08d", i) }
 // materializing 16-byte Ops per shard. Keys and kinds must reference
 // ds.Records; the caller transfers ownership of both slices.
 func FromPacked(spec Spec, ds Dataset, keys []uint32, kinds []uint8) *Workload {
-	pt := &PackedTrace{Keys: keys, Kinds: kinds, readWriteOnly: true}
-	for _, k := range kinds {
-		if kvstore.OpKind(k) != kvstore.Read && kvstore.OpKind(k) != kvstore.Write {
-			pt.readWriteOnly = false
-			break
-		}
-	}
+	pt := &PackedTrace{Keys: keys, Kinds: kinds, readWriteOnly: readWriteOnly(kinds)}
 	w := &Workload{Spec: spec, Dataset: ds}
 	w.packedOnce.Do(func() { w.packed = pt })
 	return w
@@ -391,43 +392,68 @@ func (w *Workload) RequestCount() int {
 	return 0
 }
 
-// ForEachOp visits every trace op in order, whichever backing the trace
-// has: materialized Ops, the packed encoding, or a stream (iterated
-// frame by frame in O(frame) memory). It is the trace-wide iteration
-// primitive behind AccessCounts, TouchOrder and ReadFraction, and the
-// one policies should use instead of reaching for w.Ops. The only error
-// source is a stream that fails to decode.
-func (w *Workload) ForEachOp(fn func(key int, kind kvstore.OpKind)) error {
-	switch {
-	case w.Ops != nil:
-		for _, op := range w.Ops {
-			fn(op.Key, op.Kind)
-		}
-	case w.Stream != nil:
+// Frames starts a pass over the trace in frames, whichever backing it
+// has: a stream yields its own frames, and an in-memory trace yields
+// zero-copy StreamFrameOps-op windows of its packed encoding. It fails
+// only when the stream cannot be opened or the trace is not encodable.
+func (w *Workload) Frames() (FrameCursor, error) {
+	if w.Stream != nil {
 		it, err := w.Stream.Frames()
+		return FrameCursor{it: it}, err
+	}
+	pt := w.Packed()
+	if pt == nil {
+		return FrameCursor{}, fmt.Errorf("ycsb: trace %q has no packed encoding", w.Spec.Name)
+	}
+	return FrameCursor{pt: pt}, nil
+}
+
+// FrameCursor is one pass over a trace's frames (Workload.Frames), with
+// the FrameIter contract. Over an in-memory trace it allocates nothing:
+// frames alias the packed encoding, and a batchable trace reports rw
+// without scanning.
+type FrameCursor struct {
+	pt  *PackedTrace
+	off int
+	it  FrameIter
+}
+
+// Next returns the next frame, or io.EOF after the last.
+func (c *FrameCursor) Next() (keys []uint32, kinds []uint8, rw bool, err error) {
+	if c.it != nil {
+		return c.it.Next()
+	}
+	if c.off >= len(c.pt.Keys) {
+		return nil, nil, false, io.EOF
+	}
+	hi := min(c.off+StreamFrameOps, len(c.pt.Keys))
+	keys, kinds = c.pt.Keys[c.off:hi], c.pt.Kinds[c.off:hi]
+	c.off = hi
+	return keys, kinds, c.pt.readWriteOnly || readWriteOnly(kinds), nil
+}
+
+// ForEachOp visits every trace op in order, whichever backing the trace
+// has (frame by frame, so a stream is iterated in O(frame) memory). It
+// is the trace-wide iteration primitive behind AccessCounts, TouchOrder
+// and ReadFraction, and the one policies should use instead of reaching
+// for w.Ops. It fails only where Frames or a stream's decoding does.
+func (w *Workload) ForEachOp(fn func(key int, kind kvstore.OpKind)) error {
+	fr, err := w.Frames()
+	if err != nil {
+		return err
+	}
+	for {
+		keys, kinds, _, err := fr.Next()
+		if err == io.EOF {
+			return nil
+		}
 		if err != nil {
 			return err
 		}
-		for {
-			keys, kinds, _, err := it.Next()
-			if err == io.EOF {
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-			for i := range keys {
-				fn(int(keys[i]), kvstore.OpKind(kinds[i]))
-			}
-		}
-	default:
-		if pt := w.Packed(); pt != nil {
-			for i := range pt.Keys {
-				fn(int(pt.Keys[i]), kvstore.OpKind(pt.Kinds[i]))
-			}
+		for i := range keys {
+			fn(int(keys[i]), kvstore.OpKind(kinds[i]))
 		}
 	}
-	return nil
 }
 
 // Generate builds the workload deterministically from its spec and
