@@ -10,8 +10,12 @@
 package mnemo_test
 
 import (
+	"context"
 	"testing"
+	"time"
 
+	"mnemo"
+	"mnemo/internal/core"
 	"mnemo/internal/experiments"
 	"mnemo/internal/server"
 )
@@ -346,4 +350,57 @@ func BenchmarkAblationAnchor(b *testing.B) {
 			b.ReportMetric(r.SlowAnchorMedianErrPct, "slow_anchor_err_%")
 		}
 	}
+}
+
+// BenchmarkProfileE2E is the perf ledger's end-to-end entry: one
+// iteration profiles 3 Quick-scale workloads × 3 engines through a full
+// Session (Measure → Analyze → Estimate → Advise → Place) and then
+// measures the Fig 8a validation points, every execution the mean of 3
+// runs. ns/op, B/op and allocs/op are what a whole consultation costs;
+// measure_ms and validate_ms split the wall time between the baseline
+// and validation replays.
+func BenchmarkProfileE2E(b *testing.B) {
+	ctx := context.Background()
+	var ws []*mnemo.Workload
+	for _, name := range []string{"trending", "edit_thumbnail", "news_feed"} {
+		w, err := mnemo.WorkloadByNameSized(name, benchSeed, benchScale.Keys, benchScale.Requests)
+		if err != nil {
+			b.Fatal(err)
+		}
+		w.Packed()
+		ws = append(ws, w)
+	}
+	pol, err := mnemo.PolicyByName("mnemot", benchSeed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var measure, validate time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, w := range ws {
+			for _, e := range mnemo.Engines() {
+				sess, err := mnemo.NewSession(w, mnemo.Options{Store: e, Seed: benchSeed, Runs: 3})
+				if err != nil {
+					b.Fatal(err)
+				}
+				start := time.Now()
+				if _, err := sess.Measure(ctx); err != nil {
+					b.Fatal(err)
+				}
+				measure += time.Since(start)
+				rep, err := sess.Run(ctx, pol, 0.10)
+				if err != nil {
+					b.Fatal(err)
+				}
+				start = time.Now()
+				if _, err := core.Validate(ctx, sess.Config(), w, rep.Curve, rep.Ordering, 6); err != nil {
+					b.Fatal(err)
+				}
+				validate += time.Since(start)
+			}
+		}
+	}
+	b.ReportMetric(measure.Seconds()*1e3/float64(b.N), "measure_ms")
+	b.ReportMetric(validate.Seconds()*1e3/float64(b.N), "validate_ms")
 }

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
+	"mnemo/internal/pool"
 	"mnemo/internal/server"
 	"mnemo/internal/simclock"
 	"mnemo/internal/ycsb"
@@ -235,5 +237,47 @@ func TestBatchedReplaySteadyStateZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state batched replay allocates %.1f times per pass, want 0", allocs)
+	}
+}
+
+// TestExecuteMeanLoadsOncePerSerialChain pins the runner hand-out of
+// ExecuteMeanCtx: a repetition chain that the shared budget runs
+// serially loads one deployment and rewinds it for every further
+// repetition, and a pool granted one extra worker loads at most two.
+// Every repetition is either a Load or a rewind, so one Load in three
+// runs is two rewinds. The aggregate must equal the per-op reference,
+// which builds a fresh deployment per repetition.
+func TestExecuteMeanLoadsOncePerSerialChain(t *testing.T) {
+	w := testWorkload(0.9)
+	cfg := server.DefaultConfig(server.RedisLike, 23)
+	ref := cfg
+	ref.DisableBatchReplay = true
+	want, err := ExecuteMeanWorkers(ref, w, server.AllFast(), 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var loads atomic.Int32
+	defer func(orig func(server.Config) *server.Deployment) { newDeployment = orig }(newDeployment)
+	newDeployment = func(c server.Config) *server.Deployment {
+		loads.Add(1)
+		return server.NewDeployment(c)
+	}
+	for _, tc := range []struct {
+		extra, maxLoads int
+	}{{0, 1}, {1, 2}} {
+		loads.Store(0)
+		ctx := pool.WithBudget(context.Background(), pool.NewBudget(tc.extra))
+		got, err := ExecuteMeanCtx(ctx, cfg, w, server.AllFast(), 3, 0, Policy{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := int(loads.Load()); n < 1 || n > tc.maxLoads {
+			t.Errorf("budget %d: 3 runs loaded %d deployments, want 1..%d", tc.extra, n, tc.maxLoads)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("budget %d: aggregate diverged from the fresh-per-run reference:\n  got:  %+v\n  want: %+v",
+				tc.extra, got, want)
+		}
 	}
 }

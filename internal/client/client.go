@@ -379,7 +379,7 @@ func executeFresh(ctx context.Context, cfg server.Config, w *ycsb.Workload, p se
 	sink := cfg.Obs
 	sink.Eventf(obs.EventMeasureStart, "client", 0, "%s on %s (seed %d)",
 		w.Spec.Name, cfg.Engine, cfg.Seed)
-	d := server.NewDeployment(cfg)
+	d := newDeployment(cfg)
 	if err := d.InjectedFailure(); err != nil {
 		sink.Counter("mnemo_client_run_failures_total").Inc()
 		return RunStats{}, nil, err
@@ -391,6 +391,11 @@ func executeFresh(ctx context.Context, cfg server.Config, w *ycsb.Workload, p se
 	st, err := runAndFlush(ctx, cfg, w, d)
 	return st, d, err
 }
+
+// newDeployment builds every deployment executeFresh loads. Tests
+// wrap it to count Loads, which an observer of the run cannot tell from
+// rewinds (see executeReused).
+var newDeployment = server.NewDeployment
 
 // executeReused is executeFresh against a deployment kept from an
 // earlier repetition: the populated store is rewound to its post-Load

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"time"
 
 	"mnemo/internal/obs"
@@ -160,19 +161,52 @@ type repOutcome struct {
 	retries int
 }
 
-// meanRunner is one worker's reusable execution state across
-// repetitions: the first successfully loaded batch-capable deployment is
-// kept and rewound (ResetRun) for every later repetition the worker
-// picks up, so an N-run aggregate pays the populate-and-quiesce cost
-// once per worker instead of once per run. Deployments that cannot be
-// rewound (per-op replay path) are never cached, and each repetition
-// then builds a fresh one exactly as before.
+// meanRunner is reusable execution state across repetitions: the first
+// successfully loaded batch-capable deployment is kept and rewound
+// (ResetRun) for every later repetition the runner serves, so an N-run
+// aggregate pays the populate-and-quiesce cost once per concurrently
+// running repetition (see runnerStack) instead of once per run.
+// Deployments that cannot be rewound (per-op replay path) are never
+// cached, and each repetition then builds a fresh one exactly as before.
 type meanRunner struct {
 	d *server.Deployment
 	// sd is the sharded analogue: the first successfully loaded
 	// all-batch-capable cluster, rewound shard-by-shard for later
 	// repetitions.
 	sd *server.ShardedDeployment
+}
+
+// runnerStack hands meanRunners to ExecuteMeanCtx's repetitions: LIFO,
+// created on demand. A repetition takes the runner most recently
+// returned — the one whose deployment is loaded — and a new runner is
+// made only when every existing one is busy. So the runner count equals
+// the concurrency the pool was actually granted, not the worker count
+// it asked for: a serial chain (a pool that got no budget tokens) loads
+// one deployment and rewinds it for every further repetition. Which
+// runner serves which repetition is scheduling-dependent — and
+// irrelevant, since fresh and rewound deployments measure
+// bit-identically.
+type runnerStack struct {
+	mu   sync.Mutex
+	idle []*meanRunner
+}
+
+func (s *runnerStack) take() *meanRunner {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := len(s.idle)
+	if n == 0 {
+		return new(meanRunner)
+	}
+	r := s.idle[n-1]
+	s.idle = s.idle[:n-1]
+	return r
+}
+
+func (s *runnerStack) put(r *meanRunner) {
+	s.mu.Lock()
+	s.idle = append(s.idle, r)
+	s.mu.Unlock()
 }
 
 // execute runs one measurement attempt through the cached deployment
@@ -285,21 +319,11 @@ func ExecuteMeanCtx(ctx context.Context, cfg server.Config, w *ycsb.Workload, p 
 	// outer validation sweep): composed layers cannot oversubscribe.
 	ctx = pool.EnsureBudget(ctx)
 	out := make([]repOutcome, runs)
-	// One reusable runner per pool worker, handed out through a free
-	// list: a worker grabs any idle runner, so a batch-capable deployment
-	// is populated once per worker and rewound for each further
-	// repetition that worker executes. Which runner serves which
-	// repetition is scheduling-dependent — and irrelevant, since fresh
-	// and rewound deployments measure bit-identically.
-	nrunners := pool.Workers(workers, runs)
-	runners := make(chan *meanRunner, nrunners)
-	for k := 0; k < nrunners; k++ {
-		runners <- new(meanRunner)
-	}
+	var runners runnerStack
 	if err := pool.RunObs(ctx, runs, workers, cfg.Obs, func(i int) {
-		r := <-runners
+		r := runners.take()
 		out[i] = executeRepetition(ctx, cfg, w, p, i, pol, r)
-		runners <- r
+		runners.put(r)
 	}); err != nil {
 		return RunStats{}, err
 	}

@@ -221,7 +221,15 @@ func (t *ReplayTable) Serve(keys []uint32, kinds []uint8, maxClock simclock.Dura
 func (t *ReplayTable) serve(keys []uint32, kinds []uint8, memo []uint64, memoOff int, maxClock simclock.Duration, lat []simclock.Duration) int {
 	d := t.d
 	llc := d.machine.LLC()
+	// The kernel reads the noise window directly, keeping its read
+	// index in a register for the block and handing it back on exit.
 	noise := d.noise
+	noisy := noise.Sigma() != 0
+	var nx int
+	if noisy {
+		nx = noise.next
+	}
+	served := len(keys)
 	for i := range keys {
 		c := &t.costs[keys[i]]
 		read := kinds[i] == uint8(kvstore.Read)
@@ -259,7 +267,16 @@ func (t *ReplayTable) serve(keys []uint32, kinds []uint8, memo []uint64, memoOff
 			}
 		}
 
-		serviceNs := base*noise.Factor() + pause
+		f := 1.0
+		if noisy {
+			if nx == noiseWindow {
+				noise.fill()
+				nx = 0
+			}
+			f = noise.win[nx]
+			nx++
+		}
+		serviceNs := base*f + pause
 		if d.fault.factor != 1 {
 			serviceNs *= d.fault.factor
 		}
@@ -273,10 +290,14 @@ func (t *ReplayTable) serve(keys []uint32, kinds []uint8, memo []uint64, memoOff
 		d.clock.Advance(l)
 		lat[i] = l
 		if maxClock > 0 && d.clock.Now() > maxClock {
-			return i + 1
+			served = i + 1
+			break
 		}
 	}
-	return len(keys)
+	if noisy {
+		noise.next = nx
+	}
+	return served
 }
 
 // ResetRun rewinds a batch-capable deployment to its post-Load state

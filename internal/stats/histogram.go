@@ -48,10 +48,10 @@ func NewHistogram(minVal, growth float64) *Histogram {
 
 // logBucket is the defining bucket formula: values v > minVal land in
 // bucket floor(log(v/minVal)/log(growth)) + 1. Record goes through a
-// precomputed boundary table instead (bucketFor below), which by
-// construction returns exactly this function's result for every float —
-// the table spares two transcendental calls per recording, it does not
-// change the geometry.
+// precomputed table instead (bucketFor below), which by construction
+// returns exactly this function's result for every float — the table
+// spares two transcendental calls per recording, it does not change the
+// geometry.
 func logBucket(v, minVal, logGrowth float64) int {
 	return int(math.Log(v/minVal)/logGrowth) + 1
 }
@@ -62,37 +62,93 @@ func (h *Histogram) bucketFor(v float64) int {
 	if v <= h.minVal {
 		return 0
 	}
-	if t := h.table; t != nil && v < t.last {
+	if t := h.table; v < t.limit {
 		return t.lookup(v)
 	}
 	return logBucket(v, h.minVal, h.logGrowth)
 }
 
-// bucketTable precomputes the exact bucket boundaries of one (minVal,
-// growth) geometry so the per-Record bucket lookup is a polynomial log2
-// estimate snapped to the exact boundary array — no logarithms on the hot
-// path. bounds[i] is the smallest float64 whose logBucket is i+2 (the
-// boundary between buckets i+1 and i+2), found by ulp-walking around
-// minVal·growth^(i+1), so table and formula agree on every input bit for
-// bit.
+// bucketTable maps a value in (minVal, limit) to its bucket with one
+// table read and one comparison. The table cuts that range into cells
+// keyed by a float's exponent and top mantissa bits — its bit pattern
+// shifted right by shift. A cell spans a relative width of at most
+// 2^-(52−shift) ≤ (growth−1)/2, so it contains at most one bucket
+// boundary (buildBucketTable checks this). Each cell stores the bucket
+// of its lowest float and that one boundary (+Inf when none), so the
+// bucket of v is base + (v ≥ split). Cells are built from the exact
+// boundaries of logBucket, so table and formula agree on every float.
 type bucketTable struct {
-	bounds        []float64
-	last          float64 // bounds[len-1]; values at or above fall back to the formula
-	log2Min       float64 // log2(minVal)
-	invLog2Growth float64 // 1 / log2(growth)
+	limit float64 // values at or above fall back to the formula
+	shift uint
+	key0  uint64 // key of minVal's cell
+	cells []bucketCell
 }
 
-// Boundaries are tabulated up to 1e15 (for latency histograms: ~11 days
-// in nanoseconds); larger values are rare enough to pay the Log.
-const maxTableBound = 1e15
+type bucketCell struct {
+	split float64 // the boundary inside the cell, or +Inf
+	base  int32   // bucket of the cell's floats below split
+}
+
+// Cells are tabulated up to 1e15 (for latency histograms: ~11 days in
+// nanoseconds); larger values are rare enough to pay the Log. A geometry
+// so fine that its table would pass maxTableCells (256 KiB) uses the
+// formula throughout.
+const (
+	maxTableBound = 1e15
+	maxTableCells = 1 << 14
+)
 
 func buildBucketTable(minVal, growth float64) *bucketTable {
+	formulaOnly := &bucketTable{limit: minVal}
+	keyBits := 0
+	for math.Ldexp(1, -keyBits) > (growth-1)/2 {
+		keyBits++
+	}
+	if keyBits > 52 {
+		return formulaOnly
+	}
+	shift := uint(52 - keyBits)
+	key0 := math.Float64bits(minVal) >> shift
+	if maxTableBound <= minVal || math.Float64bits(maxTableBound)>>shift-key0 >= maxTableCells {
+		return formulaOnly
+	}
+	bounds := bucketBounds(minVal, growth)
+	if len(bounds) == 0 {
+		return formulaOnly
+	}
+	limit := bounds[len(bounds)-1]
+	cells := make([]bucketCell, math.Float64bits(limit)>>shift-key0+1)
+	b := 0 // boundaries at or below the current cell's lowest float
+	for c := range cells {
+		lo := math.Float64frombits((key0 + uint64(c)) << shift)
+		next := math.Float64frombits((key0 + uint64(c) + 1) << shift)
+		for b < len(bounds) && bounds[b] <= lo {
+			b++
+		}
+		cell := bucketCell{split: math.Inf(1), base: int32(b + 1)}
+		if b < len(bounds) && bounds[b] < next {
+			if b+1 < len(bounds) && bounds[b+1] < next {
+				return formulaOnly // two boundaries in one cell
+			}
+			cell.split = bounds[b]
+		}
+		cells[c] = cell
+	}
+	return &bucketTable{limit: limit, shift: shift, key0: key0, cells: cells}
+}
+
+// bucketBounds returns the exact bucket boundaries of a geometry up to
+// maxTableBound: bounds[i] is the smallest float64 whose logBucket is
+// i+2 (the boundary between buckets i+1 and i+2), found by ulp-walking
+// around minVal·growth^(i+1). A value v in (minVal, bounds[len-1]) is
+// in bucket 1 + (number of boundaries ≤ v).
+func bucketBounds(minVal, growth float64) []float64 {
 	logGrowth := math.Log(growth)
 	var bounds []float64
 	for k := 1; ; k++ {
 		v := minVal * math.Pow(growth, float64(k))
 		if v > maxTableBound {
-			break
+			return bounds
 		}
 		// Pow lands within ulps of the true boundary; walk to the exact
 		// smallest float the formula assigns to bucket k+1.
@@ -104,44 +160,20 @@ func buildBucketTable(minVal, growth float64) *bucketTable {
 		}
 		bounds = append(bounds, v)
 	}
-	if len(bounds) == 0 {
-		return &bucketTable{last: minVal} // degenerate geometry, formula only
-	}
-	return &bucketTable{
-		bounds:        bounds,
-		last:          bounds[len(bounds)-1],
-		log2Min:       math.Log2(minVal),
-		invLog2Growth: 1 / math.Log2(growth),
-	}
 }
 
 // lookup returns the bucket of v; the caller guarantees
-// minVal < v < t.last. The bucket is 1 + (number of boundaries ≤ v). A
-// quadratic estimate of log2(v) built from the raw float bits lands
-// within a fraction of a bucket for common growth factors; the estimate
-// is then snapped to the exact boundary array, so the result matches the
-// defining formula bit for bit no matter how coarse the estimate was.
+// minVal < v < t.limit.
 func (t *bucketTable) lookup(v float64) int {
-	bits := math.Float64bits(v)
-	m := 1 + float64(bits&(1<<52-1))*(1.0/(1<<52)) // mantissa in [1, 2)
-	// Quadratic minimax fit of log2(m) on [1, 2); |error| < 0.009.
-	log2 := float64(int(bits>>52&0x7ff)-1023) + (2.0248613-0.3448549*m)*m - 1.6799357
-	c := int((log2 - t.log2Min) * t.invLog2Growth)
-	if c < 0 {
-		c = 0
-	} else if c >= len(t.bounds) {
-		c = len(t.bounds) - 1
+	c := &t.cells[math.Float64bits(v)>>t.shift-t.key0]
+	b := int(c.base)
+	if v >= c.split {
+		b++
 	}
-	for c < len(t.bounds) && t.bounds[c] <= v {
-		c++
-	}
-	for c > 0 && t.bounds[c-1] > v {
-		c--
-	}
-	return c + 1
+	return b
 }
 
-// tableFor returns the shared boundary table of a geometry, building it
+// tableFor returns the shared bucket table of a geometry, building it
 // on first use. Histograms of one geometry all point at one immutable
 // table, so construction cost is paid once per process.
 var (

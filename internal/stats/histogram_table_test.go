@@ -7,14 +7,16 @@ import (
 )
 
 // TestBucketTableMatchesLogFormula is the exactness contract of the
-// boundary table: for every float64 the table must return the bucket the
+// bucket table: for every float64 the table must return the bucket the
 // defining log formula returns — including one ulp either side of every
-// tabulated boundary, where an off-by-one would silently skew quantiles.
+// boundary, where an off-by-one would silently skew quantiles, and
+// every integer nanosecond latency up to 2 ms.
 func TestBucketTableMatchesLogFormula(t *testing.T) {
 	for _, geom := range []struct{ min, growth float64 }{
 		{100, 1.02},
 		{100, 1.05},
 		{1, 1.5},
+		{1, 2},
 		{0.25, 1.001},
 	} {
 		h := NewHistogram(geom.min, geom.growth)
@@ -31,7 +33,10 @@ func TestBucketTableMatchesLogFormula(t *testing.T) {
 					geom.min, geom.growth, v, got, want)
 			}
 		}
-		for _, b := range h.table.bounds {
+		if tabulated := h.table.cells != nil; tabulated != (geom.growth >= 1.02) {
+			t.Fatalf("geometry (%v, %v): tabulated = %v", geom.min, geom.growth, tabulated)
+		}
+		for _, b := range bucketBounds(geom.min, geom.growth) {
 			check(math.Nextafter(b, 0))
 			check(b)
 			check(math.Nextafter(b, math.Inf(1)))
@@ -46,6 +51,29 @@ func TestBucketTableMatchesLogFormula(t *testing.T) {
 		check(geom.min)
 		check(maxTableBound)
 		check(maxTableBound * 10)
+		if geom.min == 100 && geom.growth == 1.02 { // the latency geometry
+			for ns := 101; ns <= 2e6; ns++ {
+				check(float64(ns))
+			}
+		}
+	}
+}
+
+// TestBucketTableFallsBackWhenTooFine: a geometry whose cells could
+// hold two boundaries at any affordable table size uses the formula.
+func TestBucketTableFallsBackWhenTooFine(t *testing.T) {
+	h := NewHistogram(100, 1+1e-9)
+	if h.table.cells != nil || h.table.limit != h.minVal {
+		t.Fatalf("growth 1+1e-9 built a table of %d cells up to %v", len(h.table.cells), h.table.limit)
+	}
+	for _, v := range []float64{50, 100, 100.0000001, 1e3, 1e9, 1e20} {
+		want := 0
+		if v > h.minVal {
+			want = logBucket(v, h.minVal, h.logGrowth)
+		}
+		if got := h.bucketFor(v); got != want {
+			t.Fatalf("bucketFor(%v) = %d, formula says %d", v, got, want)
+		}
 	}
 }
 
@@ -57,5 +85,21 @@ func TestBucketTableSharedAcrossHistograms(t *testing.T) {
 	c := NewHistogram(100, 1.05)
 	if c.table == a.table {
 		t.Fatal("different geometries must not share a table")
+	}
+}
+
+// BenchmarkHistogramRecord is the latency-accumulator layer of the perf
+// ledger: ns per Record into a latency-geometry histogram, over
+// lognormal latencies spread across a few hundred buckets.
+func BenchmarkHistogramRecord(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	lats := make([]float64, 4096)
+	for i := range lats {
+		lats[i] = math.Round(2000 * math.Exp(rng.NormFloat64()))
+	}
+	h := NewHistogram(100, 1.02)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Record(lats[i&(len(lats)-1)])
 	}
 }
